@@ -15,13 +15,6 @@
 
 namespace otpdb::bench {
 
-inline ReplicaFactory conservative_factory() {
-  return [](const ReplicaDeps& d) {
-    return std::make_unique<ConservativeReplica>(d.sim, d.abcast, d.storage, d.catalog,
-                                                 d.registry, d.site);
-  };
-}
-
 inline ReplicaFactory lazy_factory() {
   return [](const ReplicaDeps& d) {
     return std::make_unique<LazyReplica>(d.sim, d.net, d.storage, d.catalog, d.registry, d.site);
@@ -30,22 +23,6 @@ inline ReplicaFactory lazy_factory() {
 
 /// LAN regime used across benches: the calibrated Figure-1 defaults.
 inline NetConfig lan() { return NetConfig{}; }
-
-/// Selects a topology profile and, for the wide-area ones (tens-of-ms RTTs),
-/// rescales the protocol timers that were calibrated for LAN latencies -
-/// otherwise consensus retries and failure-detector false positives dominate
-/// every counter.
-inline void apply_topology(ClusterConfig& config, TopologyProfile profile) {
-  config.net.topology = profile;
-  if (profile == TopologyProfile::wan || profile == TopologyProfile::geo_3dc) {
-    config.opt.batch_delay = 10 * kMillisecond;
-    config.opt.alignment_window = 8 * kMillisecond;
-    config.opt.consensus.fast_wait = 150 * kMillisecond;
-    config.opt.consensus.round_timeout = 500 * kMillisecond;
-    config.fd.interval = 50 * kMillisecond;
-    config.fd.suspect_timeout = 500 * kMillisecond;
-  }
-}
 
 /// Aggregated view over all replicas of a cluster.
 struct ClusterTotals {

@@ -40,8 +40,9 @@ class ClassQueue {
   const TxnRecord* at(std::size_t i) const { return queue_[i]; }
 
   /// Serialization module step S1: append in tentative (Opt-deliver) order.
-  /// (The conservative engine appends already-committable transactions in
-  /// definitive order; the committable prefix then spans the whole queue.)
+  /// (Executing at TO-delivery, the OTP engine appends in definitive order
+  /// instead; CC10 then never moves an entry and the committable prefix
+  /// spans the whole queue.)
   void append(TxnRecord* txn);
 
   /// Removes the head (commit path). Pre: txn is the head.

@@ -9,6 +9,18 @@
 
 namespace otpdb {
 
+void apply_topology(ClusterConfig& config, TopologyProfile profile) {
+  config.net.topology = profile;
+  if (profile == TopologyProfile::wan || profile == TopologyProfile::geo_3dc) {
+    config.opt.batch_delay = 10 * kMillisecond;
+    config.opt.alignment_window = 8 * kMillisecond;
+    config.opt.consensus.fast_wait = 150 * kMillisecond;
+    config.opt.consensus.round_timeout = 500 * kMillisecond;
+    config.fd.interval = 50 * kMillisecond;
+    config.fd.suspect_timeout = 500 * kMillisecond;
+  }
+}
+
 Cluster::Cluster(ClusterConfig config)
     : Cluster(std::move(config), [](const ReplicaDeps& deps) {
         return std::make_unique<OtpReplica>(deps.sim, deps.abcast, deps.storage, deps.catalog,

@@ -69,6 +69,12 @@ struct ClusterConfig {
   ParallelismConfig parallel;
 };
 
+/// Selects a topology profile and, for the wide-area ones (tens-of-ms RTTs),
+/// rescales the protocol timers that were calibrated for LAN latencies -
+/// otherwise consensus retries and failure-detector false positives dominate
+/// every counter.
+void apply_topology(ClusterConfig& config, TopologyProfile profile);
+
 /// Per-site dependencies handed to a replica factory.
 struct ReplicaDeps {
   Simulator& sim;
@@ -130,7 +136,8 @@ class Cluster {
     return total;
   }
 
-  /// The OTP view of a replica, or nullptr if a different engine runs there.
+  /// The OTP view of a replica (also the conservative engine, which is OTP
+  /// executing at TO-delivery), or nullptr if a different engine runs there.
   OtpReplica* otp(SiteId site);
 
   /// Loads an initial value at every site's store (index-0 version).
@@ -180,8 +187,8 @@ class Cluster {
   /// Sum of committed transactions across sites / per-site metrics access.
   std::uint64_t total_committed() const;
 
-  /// Runs version garbage collection at every OTP site. Returns total
-  /// versions dropped (non-OTP engines are skipped).
+  /// Runs version garbage collection at every OTP or conservative site.
+  /// Returns total versions dropped (other engines are skipped).
   std::size_t prune_all_versions();
 
  private:

@@ -68,28 +68,17 @@ SubmitResult LockTableReplica::submit_update_with_access(ProcId proc, ClassId kl
                                                          TxnArgs args, SimTime exec_duration,
                                                          SimTime deadline) {
   OTPDB_CHECK_MSG(!access_set.empty(), "a transaction must declare at least one object");
-  const AbcastStats& ab = abcast_.stats();
-  const std::uint64_t lag =
-      ab.opt_delivered > ab.to_delivered ? ab.opt_delivered - ab.to_delivered : 0;
-  const SubmitResult gate = ingress_gate(sim_.now(), deadline, in_flight(), lag,
-                                         abcast_.backpressured(), metrics_);
-  if (gate != SubmitResult::admitted) return gate;
-  auto request = std::make_shared<TxnRequest>();
-  request->proc = proc;
-  request->klass = klass;
-  request->args = std::move(args);
-  request->origin = self_;
-  request->client_seq = next_client_seq_++;
-  request->submitted_at = sim_.now();
-  request->exec_duration = exec_duration;
-  // `deadline` is deliberately NOT carried into the request: enforcing it at
-  // the object queues would need per-object virtual service clocks to stay
-  // deterministic across sites. The ingress gate above is the full extent of
-  // deadline handling on this engine.
-  request->access_set = std::move(access_set);
-  ++metrics_.submitted_updates;
-  abcast_.broadcast(std::move(request));
-  return SubmitResult::admitted;
+  return admit_and_broadcast(sim_, abcast_, metrics_, deadline, [&](TxnRequest& request) {
+    request.proc = proc;
+    request.klass = klass;
+    request.args = std::move(args);
+    request.exec_duration = exec_duration;
+    // `deadline` is deliberately NOT carried into the request: enforcing it
+    // at the object queues would need per-object virtual service clocks to
+    // stay deterministic across sites. The ingress gate is the full extent
+    // of deadline handling on this engine.
+    request.access_set = std::move(access_set);
+  });
 }
 
 void LockTableReplica::submit_query(QueryFn fn, SimTime exec_duration, QueryDoneFn done) {

@@ -126,7 +126,6 @@ class LockTableReplica final : public ReplicaBase {
   std::vector<ObjectQueue> queues_;
   TxnTable txns_;
 
-  std::uint64_t next_client_seq_ = 0;
   ReplicaMetrics metrics_;
   QueryEngine queries_;
   CommitHook commit_hook_;

@@ -10,7 +10,7 @@ namespace otpdb {
 
 OtpReplica::OtpReplica(Simulator& sim, AtomicBroadcast& abcast, StorageBackend& storage,
                        const PartitionCatalog& catalog, const ProcedureRegistry& registry,
-                       SiteId self, OtpReplicaConfig config)
+                       SiteId self, OtpReplicaConfig config, ExecutionStart start)
     : sim_(sim),
       abcast_(abcast),
       backend_(storage),
@@ -19,6 +19,7 @@ OtpReplica::OtpReplica(Simulator& sim, AtomicBroadcast& abcast, StorageBackend& 
       registry_(registry),
       self_(self),
       config_(config),
+      start_(start),
       queries_(sim, store_, catalog, metrics_) {
   queues_.reserve(catalog.class_count());
   for (std::size_t c = 0; c < catalog.class_count(); ++c) {
@@ -32,33 +33,22 @@ OtpReplica::OtpReplica(Simulator& sim, AtomicBroadcast& abcast, StorageBackend& 
   });
 }
 
-void OtpReplica::broadcast_request(ProcId proc, ClassId klass, std::vector<ClassId> classes,
-                                   TxnArgs args, SimTime exec_duration, SimTime deadline) {
-  auto request = std::make_shared<TxnRequest>();
-  request->proc = proc;
-  request->klass = klass;
-  request->classes = std::move(classes);
-  request->args = std::move(args);
-  request->origin = self_;
-  request->client_seq = next_client_seq_++;
-  request->submitted_at = sim_.now();
-  request->exec_duration = exec_duration;
-  request->deadline = deadline;
-  ++metrics_.submitted_updates;
-  abcast_.broadcast(std::move(request));
+SubmitResult OtpReplica::submit_request(ProcId proc, ClassId klass, std::vector<ClassId> classes,
+                                        TxnArgs args, SimTime exec_duration, SimTime deadline) {
+  return admit_and_broadcast(sim_, abcast_, metrics_, deadline, [&](TxnRequest& request) {
+    request.proc = proc;
+    request.klass = klass;
+    request.classes = std::move(classes);
+    request.args = std::move(args);
+    request.exec_duration = exec_duration;
+    request.deadline = deadline;
+  });
 }
 
 SubmitResult OtpReplica::submit_update(ProcId proc, ClassId klass, TxnArgs args,
                                        SimTime exec_duration, SimTime deadline) {
   OTPDB_CHECK(klass < catalog_.class_count());
-  const AbcastStats& ab = abcast_.stats();
-  const std::uint64_t lag =
-      ab.opt_delivered > ab.to_delivered ? ab.opt_delivered - ab.to_delivered : 0;
-  const SubmitResult gate = ingress_gate(sim_.now(), deadline, in_flight(), lag,
-                                         abcast_.backpressured(), metrics_);
-  if (gate != SubmitResult::admitted) return gate;
-  broadcast_request(proc, klass, {}, std::move(args), exec_duration, deadline);
-  return SubmitResult::admitted;
+  return submit_request(proc, klass, {}, std::move(args), exec_duration, deadline);
 }
 
 SubmitResult OtpReplica::submit_update_multi(ProcId proc, std::vector<ClassId> classes,
@@ -69,15 +59,9 @@ SubmitResult OtpReplica::submit_update_multi(ProcId proc, std::vector<ClassId> c
   if (classes.size() == 1) {  // the base model's case: no class vector needed
     return submit_update(proc, classes.front(), std::move(args), exec_duration, deadline);
   }
-  const AbcastStats& ab = abcast_.stats();
-  const std::uint64_t lag =
-      ab.opt_delivered > ab.to_delivered ? ab.opt_delivered - ab.to_delivered : 0;
-  const SubmitResult gate = ingress_gate(sim_.now(), deadline, in_flight(), lag,
-                                         abcast_.backpressured(), metrics_);
-  if (gate != SubmitResult::admitted) return gate;
   const ClassId primary = classes.front();
-  broadcast_request(proc, primary, std::move(classes), std::move(args), exec_duration, deadline);
-  return SubmitResult::admitted;
+  return submit_request(proc, primary, std::move(classes), std::move(args), exec_duration,
+                        deadline);
 }
 
 void OtpReplica::submit_query(QueryFn fn, SimTime exec_duration, QueryDoneFn done) {
@@ -94,6 +78,9 @@ void OtpReplica::on_opt_deliver(const Message& msg) {
   // acquire() checks against duplicate Opt-delivery.
   TxnRecord* txn = txns_.acquire(msg.id, std::move(request));
   txn->opt_delivered_at = sim_.now();
+  // Conservative processing ignores the tentative order: the transaction
+  // enters its queues at TO-delivery (to_deliver_one).
+  if (start_ == ExecutionStart::to_delivery) return;
   arm_ticket_watchdog(txn);
   serialization_module(txn);
 }
@@ -161,6 +148,12 @@ void OtpReplica::to_deliver_one(TxnRecord* txn) {
   const TOIndex index = txn->to_index;
   txn->to_delivered_at = sim_.now();
   const auto classes = txn->request->class_span();
+  // Conservative processing: S1 happens now, in definitive order, and S3-S5
+  // are left to CC11 below. Every queue then holds committable transactions
+  // only, so the path below never aborts, reorders or waits to commit.
+  if (start_ == ExecutionStart::to_delivery) {
+    for (ClassId c : classes) queues_[c].append(txn);
+  }
   queries_.advance_to_index(index);
   for (ClassId c : classes) queries_.note_to_delivered(c, index);
 
@@ -180,24 +173,11 @@ void OtpReplica::to_deliver_one(TxnRecord* txn) {
     // Commits are atomic across the covered classes, so the watermarks agree.
     for (ClassId c : classes) OTPDB_ASSERT(index <= queries_.last_committed(c));
 #endif
-    txn->deliv = DeliveryState::committable;
-    if (txn->running) {
-      sim_.cancel(txn->completion);
-      txn->running = false;
-    }
-    backend_.abort(txn->tid);  // drop any provisional re-execution of replayed work
-    for (ClassId c : classes) {
-      ClassQueue& queue = queues_[c];
-      TxnRecord* head = queue.head();
-      if (head != txn && head->deliv == DeliveryState::pending &&
-          (head->running || head->exec == ExecState::executed)) {
-        abort_transaction(head);
-      }
-      queue.reorder_before_first_pending(txn);
-      // Replayed indices precede every live transaction's index, so no
-      // committable transaction can sit ahead of this one.
-      OTPDB_CHECK(queue.head() == txn);
-    }
+    undo_execution(txn);  // drop any provisional re-execution of replayed work
+    mark_committable(txn);
+    // Replayed indices precede every live transaction's index, so no
+    // committable transaction can sit ahead of this one.
+    OTPDB_CHECK(heads_all_queues(txn));
     for (ClassId c : classes) queues_[c].remove_head(txn);
     cancel_ticket_watchdog(txn);
     promote_heads(classes);  // before retire: `classes` views the request
@@ -213,25 +193,10 @@ void OtpReplica::to_deliver_one(TxnRecord* txn) {
     // CC7-CC10 handling a committing transaction would get - the queue
     // invariant keeps committable transactions ahead of pending ones), then
     // retire it once it heads them all. No store effects, no commit hook.
-    txn->deliv = DeliveryState::committable;
-    if (txn->running) {
-      sim_.cancel(txn->completion);
-      txn->running = false;
-    }
-    backend_.abort(txn->tid);  // undo provisional effects, if any
-    txn->exec = ExecState::active;
-    for (ClassId c : classes) {
-      ClassQueue& queue = queues_[c];
-      TxnRecord* head = queue.head();
-      if (head != txn && head->deliv == DeliveryState::pending &&
-          (head->running || head->exec == ExecState::executed)) {
-        abort_transaction(head);  // CC8 applies equally ahead of a drop
-      }
-      queue.reorder_before_first_pending(txn);
-    }
-    if (heads_all_queues(txn)) {
-      retire_expired(txn);
-    }
+    undo_execution(txn);
+    mark_committable(txn);  // CC8 applies equally ahead of a drop
+    ++expired_queued_;
+    if (heads_all_queues(txn)) retire_expired(txn);
     // Else: a committable predecessor is still executing; the retire happens
     // when its commit promotes this transaction to head (promote_heads).
     if (config_.paranoid_checks) check_invariants(txn);
@@ -266,6 +231,7 @@ void OtpReplica::retire_expired(TxnRecord* txn) {
   const auto classes = txn->request->class_span();
   const TOIndex index = txn->to_index;
   for (ClassId c : classes) queues_[c].remove_head(txn);
+  --expired_queued_;
   ++metrics_.deadline_expired_queue;
   OTPDB_TRACE("otp") << "site " << self_ << " drops expired txn (" << txn->id.sender << ","
                      << txn->id.seq << ") at index " << index;
@@ -317,6 +283,7 @@ void OtpReplica::crash_recover_reset() {
   // (apply_service_clock runs before the replay early-return), so every
   // pre-crash drop decision is re-derived identically.
   service_clock_.assign(service_clock_.size(), 0);
+  expired_queued_ = 0;
   promote_stack_.clear();
   promoting_ = false;
   admission_.reset();
@@ -336,23 +303,7 @@ void OtpReplica::correctness_check_module(TxnRecord* txn) {
     commit(txn);  // CC3-CC4
     return;
   }
-  txn->deliv = DeliveryState::committable;  // CC6
-  bool moved = false;
-  for (ClassId c : txn->request->class_span()) {
-    ClassQueue& queue = queues_[c];
-    OTPDB_ASSERT(queue.contains(txn));
-    TxnRecord* head = queue.head();
-    // CC7: a pending head that has produced (or is producing) optimistic
-    // effects ahead of txn is wrongly ordered - undo it (CC8). A pending head
-    // that never started (a multi-class transaction waiting on another queue)
-    // has nothing to undo; CC10 simply reorders past it.
-    if (head != txn && head->deliv == DeliveryState::pending &&
-        (head->running || head->exec == ExecState::executed)) {
-      abort_transaction(head);  // CC8
-    }
-    moved |= queue.reorder_before_first_pending(txn);  // CC10
-  }
-  if (moved) ++metrics_.mismatch_reorders;
+  if (mark_committable(txn)) ++metrics_.mismatch_reorders;  // CC6-CC10
   if (!txn->running && heads_all_queues(txn)) {  // CC11 (unless already executing)
     submit_execution(txn);                       // CC12
   }
@@ -405,18 +356,42 @@ void OtpReplica::submit_execution(TxnRecord* txn) {
       sim_.schedule_after(request.exec_duration, [this, txn] { execution_module(txn); });
 }
 
+bool OtpReplica::mark_committable(TxnRecord* txn) {
+  txn->deliv = DeliveryState::committable;  // CC6
+  bool moved = false;
+  for (ClassId c : txn->request->class_span()) {
+    ClassQueue& queue = queues_[c];
+    OTPDB_ASSERT(queue.contains(txn));
+    TxnRecord* head = queue.head();
+    // CC7: a pending head that has produced (or is producing) optimistic
+    // effects ahead of txn is wrongly ordered - undo it (CC8). A pending head
+    // that never started (a multi-class transaction waiting on another queue)
+    // has nothing to undo; CC10 simply reorders past it.
+    if (head != txn && head->deliv == DeliveryState::pending &&
+        (head->running || head->exec == ExecState::executed)) {
+      abort_transaction(head);  // CC8
+    }
+    moved |= queue.reorder_before_first_pending(txn);  // CC10
+  }
+  return moved;
+}
+
+void OtpReplica::undo_execution(TxnRecord* txn) {
+  if (txn->running) {
+    sim_.cancel(txn->completion);
+    txn->running = false;
+  }
+  backend_.abort(txn->tid);  // undo provisional effects, if any
+  txn->exec = ExecState::active;
+}
+
 void OtpReplica::abort_transaction(TxnRecord* txn) {
   // CC8 preconditions: the wrongly ordered transaction is pending and has
   // optimistic effects to undo - which implies it heads all its queues.
   OTPDB_CHECK(txn->deliv == DeliveryState::pending);
   OTPDB_CHECK(txn->running || txn->exec == ExecState::executed);
   OTPDB_ASSERT(heads_all_queues(txn));
-  if (txn->running) {
-    sim_.cancel(txn->completion);
-    txn->running = false;
-  }
-  backend_.abort(txn->tid);  // undo provisional effects
-  txn->exec = ExecState::active;
+  undo_execution(txn);
   ++metrics_.aborts;
   OTPDB_TRACE("otp") << "site " << self_ << " aborts txn (" << txn->id.sender << ","
                      << txn->id.seq << ") for rescheduling";

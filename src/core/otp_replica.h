@@ -34,12 +34,23 @@
 // pending suffix in tentative order), and the least transaction in that order
 // always heads all its queues.
 //
+// Conservative processing (the non-optimistic baseline [1,12,16,17] in the
+// paper) is the same algorithm without the overlap, so it runs here too, as
+// ExecutionStart::to_delivery: Opt-delivery only interns the transaction,
+// and TO-delivery first appends it to its covered queues (S1 without S3-S5)
+// before the correctness check module runs as usual. Queue order then always
+// equals the definitive order, so CC8 never fires, CC10 never moves anything
+// and commit follows execution with no wait - but the broadcast's full
+// ordering latency sits on every transaction's critical path
+// (baseline/conservative_replica.h, bench/overlap_latency).
+//
 // Transaction identity is interned at Opt-deliver time: the broadcast's
 // MsgId becomes a dense site-local TxnId, and the transaction table, the
 // store's provisional write-sets and the commit path all index flat arrays by
 // it. Retired ids (and their record/write-set storage) are recycled.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -73,11 +84,17 @@ struct OtpReplicaConfig {
   SimTime ticket_timeout = 0;
 };
 
-class OtpReplica final : public ReplicaBase {
+/// Where execution starts: at Opt-delivery (OTP, overlapping execution with
+/// the ordering) or at TO-delivery (conservative processing).
+enum class ExecutionStart : std::uint8_t { opt_delivery, to_delivery };
+
+class OtpReplica : public ReplicaBase {
  public:
   OtpReplica(Simulator& sim, AtomicBroadcast& abcast, StorageBackend& storage,
              const PartitionCatalog& catalog, const ProcedureRegistry& registry, SiteId self,
-             OtpReplicaConfig config = {});
+             OtpReplicaConfig config = {})
+      : OtpReplica(sim, abcast, storage, catalog, registry, self, config,
+                   ExecutionStart::opt_delivery) {}
 
   // ReplicaBase:
   SubmitResult submit_update(ProcId proc, ClassId klass, TxnArgs args, SimTime exec_duration,
@@ -96,9 +113,11 @@ class OtpReplica final : public ReplicaBase {
   /// Commit hook for history recording (checker) - invoked at every commit.
   void set_commit_hook(CommitHook hook) override { commit_hook_ = std::move(hook); }
 
-  /// Transactions not yet committed plus queries not yet answered.
+  /// Transactions not yet committed plus queries not yet answered. A
+  /// deadline-dropped transaction waiting to be retired at the head of its
+  /// queues no longer counts: it will never occupy service time.
   std::size_t in_flight() const override {
-    return txns_.live() + (metrics_.queries_started - metrics_.queries_done);
+    return txns_.live() - expired_queued_ + (metrics_.queries_started - metrics_.queries_done);
   }
 
   /// Introspection for tests: the class queue of `klass`.
@@ -134,6 +153,11 @@ class OtpReplica final : public ReplicaBase {
   void restart_from_disk(std::span<const TOIndex> class_watermarks,
                          TOIndex durable_floor) override;
 
+ protected:
+  OtpReplica(Simulator& sim, AtomicBroadcast& abcast, StorageBackend& storage,
+             const PartitionCatalog& catalog, const ProcedureRegistry& registry, SiteId self,
+             OtpReplicaConfig config, ExecutionStart start);
+
  private:
   // -- Figure 4: serialization module ---------------------------------------
   void serialization_module(TxnRecord* txn);
@@ -142,10 +166,10 @@ class OtpReplica final : public ReplicaBase {
   // -- Figure 6: correctness check module ------------------------------------
   void correctness_check_module(TxnRecord* txn);
 
-  /// Builds and TO-broadcasts a request. `classes` is empty for single-class
+  /// Gates and TO-broadcasts a request. `classes` is empty for single-class
   /// submissions, the normalized set (and klass its first element) otherwise.
-  void broadcast_request(ProcId proc, ClassId klass, std::vector<ClassId> classes,
-                         TxnArgs args, SimTime exec_duration, SimTime deadline);
+  SubmitResult submit_request(ProcId proc, ClassId klass, std::vector<ClassId> classes,
+                              TxnArgs args, SimTime exec_duration, SimTime deadline);
 
   void to_deliver_one(TxnRecord* txn);
   /// Deadline budget at TO-delivery: advances the per-class virtual service
@@ -169,6 +193,13 @@ class OtpReplica final : public ReplicaBase {
   /// queues (S3-S5 / CC11-CC12 generalized).
   void try_execute(TxnRecord* txn);
   void submit_execution(TxnRecord* txn);
+  /// CC6-CC10 on every covered queue: marks `txn` committable, undoes a
+  /// wrongly ordered head ahead of it and moves it directly behind the
+  /// committable prefix. Returns true when some queue reordered.
+  bool mark_committable(TxnRecord* txn);
+  /// Cancels a running execution of `txn`, rolls back its provisional
+  /// versions and marks it active again.
+  void undo_execution(TxnRecord* txn);
   void abort_transaction(TxnRecord* txn);  // CC8: undo a wrongly ordered head
   void commit(TxnRecord* txn);
 
@@ -187,6 +218,7 @@ class OtpReplica final : public ReplicaBase {
   const ProcedureRegistry& registry_;
   SiteId self_;
   OtpReplicaConfig config_;
+  ExecutionStart start_;
   /// Commits at or below this index arrive as body-less tombstones during a
   /// cold-restart catch-up (they are already applied from disk).
   TOIndex replay_floor_ = 0;
@@ -199,12 +231,14 @@ class OtpReplica final : public ReplicaBase {
   /// submitted_at, exec_duration), hence identical at every site, and rebuilt
   /// by the recovery replay (updated before the replay early-return).
   std::vector<SimTime> service_clock_;
+  /// Deadline-dropped transactions still queued behind a committable head
+  /// (retire_expired has not run yet); excluded from in_flight().
+  std::size_t expired_queued_ = 0;
   std::vector<ClassId> promote_stack_;  // promote_heads worklist
   bool promoting_ = false;              // reentrancy guard for promote_heads
   TimerWheel wheel_{sim_};                       // ticket-timeout watchdogs
   std::vector<TimerWheel::TimerId> ticket_timers_;  // dense, indexed by TxnId
 
-  std::uint64_t next_client_seq_ = 0;
   ReplicaMetrics metrics_;
   QueryEngine queries_;
   CommitHook commit_hook_;

@@ -1,13 +1,16 @@
 // Common interface of the replication engines in this repository: the OTP
-// engine (paper Section 3), the conservative engine (execute after TO-deliver)
-// and the lazy engine (commercial-style asynchronous replication). Benches and
-// the workload driver talk to replicas through this interface only.
+// engine (paper Section 3, which also runs the conservative baseline by
+// executing at TO-delivery), the lock-table engine and the lazy engine
+// (commercial-style asynchronous replication). Benches and the workload
+// driver talk to replicas through this interface only.
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
+#include "abcast/abcast.h"
 #include "core/admission.h"
 #include "core/metrics.h"
 #include "core/query.h"
@@ -130,7 +133,34 @@ class ReplicaBase {
     return SubmitResult::admitted;
   }
 
+  /// The ingress of the engines that TO-broadcast their updates: runs
+  /// ingress_gate on `abcast`'s pressure signals (sender backpressure and the
+  /// opt-minus-TO delivery lag) and, once admitted, builds the request -
+  /// `fill` sets the caller's fields, then its origin, client sequence number
+  /// and submit time are stamped - and TO-broadcasts it. A refused
+  /// submission builds nothing. `deadline` only gates here; whether the
+  /// request carries it is the caller's choice.
+  template <typename Fill>
+  SubmitResult admit_and_broadcast(Simulator& sim, AtomicBroadcast& abcast,
+                                   ReplicaMetrics& metrics, SimTime deadline, Fill&& fill) {
+    const AbcastStats& ab = abcast.stats();
+    const std::uint64_t lag =
+        ab.opt_delivered > ab.to_delivered ? ab.opt_delivered - ab.to_delivered : 0;
+    const SubmitResult gate =
+        ingress_gate(sim.now(), deadline, in_flight(), lag, abcast.backpressured(), metrics);
+    if (gate != SubmitResult::admitted) return gate;
+    auto request = std::make_shared<TxnRequest>();
+    fill(*request);
+    request->origin = site();
+    request->client_seq = next_client_seq_++;
+    request->submitted_at = sim.now();
+    ++metrics.submitted_updates;
+    abcast.broadcast(std::move(request));
+    return SubmitResult::admitted;
+  }
+
   AdmissionController admission_;
+  std::uint64_t next_client_seq_ = 0;  ///< numbers admit_and_broadcast's requests
 };
 
 }  // namespace otpdb

@@ -32,13 +32,6 @@ NetConfig stormy_network() {
   return cfg;
 }
 
-ReplicaFactory conservative_factory() {
-  return [](const ReplicaDeps& d) {
-    return std::make_unique<ConservativeReplica>(d.sim, d.abcast, d.storage, d.catalog,
-                                                 d.registry, d.site);
-  };
-}
-
 ReplicaFactory lazy_factory() {
   return [](const ReplicaDeps& d) {
     return std::make_unique<LazyReplica>(d.sim, d.net, d.storage, d.catalog, d.registry, d.site);
@@ -445,6 +438,33 @@ TEST(FaultInjection, SurvivorsStayConsistentAfterMinorityCrash) {
   // The crashed site's history is a consistent prefix (it stopped mid-run).
   const CheckResult with_crashed = check_one_copy_serializability(recorder.site_logs());
   EXPECT_TRUE(with_crashed.ok()) << with_crashed.summary();
+}
+
+TEST(ClusterConfigTopology, WideAreaProfilesRescaleTheProtocolTimers) {
+  const ClusterConfig defaults;
+  for (TopologyProfile profile : {TopologyProfile::wan, TopologyProfile::geo_3dc}) {
+    ClusterConfig config;
+    apply_topology(config, profile);
+    EXPECT_EQ(config.net.topology, profile);
+    EXPECT_EQ(config.opt.batch_delay, 10 * kMillisecond);
+    EXPECT_EQ(config.opt.alignment_window, 8 * kMillisecond);
+    EXPECT_EQ(config.opt.consensus.fast_wait, 150 * kMillisecond);
+    EXPECT_EQ(config.opt.consensus.round_timeout, 500 * kMillisecond);
+    EXPECT_EQ(config.fd.interval, 50 * kMillisecond);
+    EXPECT_EQ(config.fd.suspect_timeout, 500 * kMillisecond);
+  }
+  for (TopologyProfile profile :
+       {TopologyProfile::flat, TopologyProfile::lan, TopologyProfile::metro}) {
+    ClusterConfig config;
+    apply_topology(config, profile);
+    EXPECT_EQ(config.net.topology, profile);
+    EXPECT_EQ(config.opt.batch_delay, defaults.opt.batch_delay);
+    EXPECT_EQ(config.opt.alignment_window, defaults.opt.alignment_window);
+    EXPECT_EQ(config.opt.consensus.fast_wait, defaults.opt.consensus.fast_wait);
+    EXPECT_EQ(config.opt.consensus.round_timeout, defaults.opt.consensus.round_timeout);
+    EXPECT_EQ(config.fd.interval, defaults.fd.interval);
+    EXPECT_EQ(config.fd.suspect_timeout, defaults.fd.suspect_timeout);
+  }
 }
 
 }  // namespace

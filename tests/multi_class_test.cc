@@ -363,10 +363,7 @@ TEST(MultiClassCluster, ConservativeCrossClassWorkloadStaysSerializable) {
   config.n_classes = 6;
   config.objects_per_class = 16;
   config.seed = 12;
-  Cluster cluster(config, [](const ReplicaDeps& d) {
-    return std::make_unique<ConservativeReplica>(d.sim, d.abcast, d.storage, d.catalog,
-                                                 d.registry, d.site);
-  });
+  Cluster cluster(config, conservative_factory());
   run_cross_class_workload(cluster, 0.3, 22);
 }
 
@@ -412,10 +409,7 @@ TEST(MultiClassCluster, TpccRemoteMixOnConservativeEngine) {
   tpcc::Layout layout;
   config.objects_per_class = layout.objects_per_warehouse();
   config.seed = 32;
-  Cluster cluster(config, [](const ReplicaDeps& d) {
-    return std::make_unique<ConservativeReplica>(d.sim, d.abcast, d.storage, d.catalog,
-                                                 d.registry, d.site);
-  });
+  Cluster cluster(config, conservative_factory());
   run_tpcc_remote(cluster, 42);
 }
 

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "baseline/conservative_replica.h"
@@ -80,13 +81,7 @@ TEST(Admission, LagSignalAloneEngages) {
 
 struct DirectFixture {
   explicit DirectFixture(ClusterConfig config, bool conservative = false)
-      : cluster(conservative
-                    ? Cluster(config,
-                              [](const ReplicaDeps& d) {
-                                return std::make_unique<ConservativeReplica>(
-                                    d.sim, d.abcast, d.storage, d.catalog, d.registry, d.site);
-                              })
-                    : Cluster(config)) {
+      : cluster(conservative ? Cluster(config, conservative_factory()) : Cluster(config)) {
     proc = register_rmw_procedure(cluster.procedures(), cluster.catalog());
   }
   TxnArgs args() const {
@@ -231,9 +226,26 @@ void flood_one_class_and_check(bool conservative) {
   std::vector<const VersionedStore*> stores;
   for (SiteId s = 0; s < f.cluster.site_count(); ++s) stores.push_back(&f.cluster.store(s));
   EXPECT_TRUE(compare_final_states(stores, f.cluster.catalog()).ok());
-  const auto value = f.cluster.store(0).read_latest(f.cluster.catalog().object(0, 0));
+  const ObjectId obj = f.cluster.catalog().object(0, 0);
+  const auto value = f.cluster.store(0).read_latest(obj);
   ASSERT_TRUE(value.has_value());
   EXPECT_EQ(as_int(*value), static_cast<std::int64_t>(kTxns - drops0));
+
+  // A snapshot query after the drain observes every survivor. Its snapshot
+  // is the last (dropped) slot, so it is answered only if the commit
+  // watermark covers the drops and never ran ahead of a queued predecessor
+  // and back again - that would leave it parked forever.
+  std::vector<std::optional<std::int64_t>> answers(f.cluster.site_count());
+  for (SiteId s = 0; s < f.cluster.site_count(); ++s) {
+    f.cluster.replica(s).submit_query(
+        [obj](QueryContext& ctx) { (void)ctx.read(obj); }, kMillisecond,
+        [&answers, s](const QueryReport& r) { answers[s] = as_int(r.reads.at(0).second); });
+  }
+  EXPECT_TRUE(f.cluster.quiesce());
+  for (SiteId s = 0; s < f.cluster.site_count(); ++s) {
+    ASSERT_TRUE(answers[s].has_value()) << "snapshot query never answered at site " << s;
+    EXPECT_EQ(*answers[s], static_cast<std::int64_t>(kTxns - drops0)) << "site " << s;
+  }
 }
 
 TEST(Deadline, QueueHeadDropsAreIdenticalAtEverySiteOtp) {

@@ -144,12 +144,7 @@ RunResult run_mixed(EngineKind engine, unsigned threads, bool chaos, bool durabl
   config.net.loss_prob = chaos ? 0.01 : 0.0;
   if (durable) config.storage.backend = StorageBackendKind::durable;
   auto cluster = engine == EngineKind::conservative
-                     ? std::make_unique<Cluster>(config,
-                                                 [](const ReplicaDeps& d) {
-                                                   return std::make_unique<ConservativeReplica>(
-                                                       d.sim, d.abcast, d.storage, d.catalog,
-                                                       d.registry, d.site);
-                                                 })
+                     ? std::make_unique<Cluster>(config, conservative_factory())
                      : std::make_unique<Cluster>(config);
   HistoryRecorder recorder(*cluster);
 

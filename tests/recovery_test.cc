@@ -274,13 +274,6 @@ ClusterConfig durable_recovery_config(std::uint64_t seed, std::size_t n_sites = 
   return config;
 }
 
-ReplicaFactory conservative_factory() {
-  return [](const ReplicaDeps& d) {
-    return std::make_unique<ConservativeReplica>(d.sim, d.abcast, d.storage, d.catalog,
-                                                 d.registry, d.site);
-  };
-}
-
 TEST(Recovery, DurableRestartFromDiskConvergesWithTombstones) {
   // Kill-and-restart: site 3 loses its RAM, rebuilds the committed prefix
   // from its own checkpoint + WAL, and peers resend only the tail - every

@@ -88,13 +88,6 @@ TEST(TpccProcedures, WarehousesAreIsolated) {
 
 // --- Cluster integration per engine ------------------------------------------
 
-ReplicaFactory conservative_factory() {
-  return [](const ReplicaDeps& d) {
-    return std::make_unique<ConservativeReplica>(d.sim, d.abcast, d.storage, d.catalog,
-                                                 d.registry, d.site);
-  };
-}
-
 enum class EngineKind { otp, conservative };
 
 void run_tpcc_and_audit(EngineKind engine, std::uint64_t seed, bool stormy) {

@@ -98,7 +98,8 @@ int usage() {
   return 2;
 }
 
-/// Parses --topology into `config`, exiting with usage() on an unknown name.
+/// Parses --topology into `config` (with the wide-area timer rescale of
+/// apply_topology), exiting with usage() on an unknown name.
 bool apply_topology_flag(const Flags& flags, ClusterConfig& config) {
   const std::string name = flags.get("topology", "flat");
   const auto profile = parse_topology_profile(name);
@@ -107,7 +108,7 @@ bool apply_topology_flag(const Flags& flags, ClusterConfig& config) {
                  topology_profile_list());
     return false;
   }
-  config.net.topology = *profile;
+  apply_topology(config, *profile);
   return true;
 }
 
@@ -241,12 +242,7 @@ void print_chaos_summary(Cluster& cluster) {
 }
 
 ReplicaFactory make_factory(const std::string& engine) {
-  if (engine == "conservative") {
-    return [](const ReplicaDeps& d) {
-      return std::make_unique<ConservativeReplica>(d.sim, d.abcast, d.storage, d.catalog,
-                                                   d.registry, d.site);
-    };
-  }
+  if (engine == "conservative") return conservative_factory();
   if (engine == "lazy") {
     return [](const ReplicaDeps& d) {
       return std::make_unique<LazyReplica>(d.sim, d.net, d.storage, d.catalog, d.registry,
